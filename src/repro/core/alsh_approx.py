@@ -29,7 +29,7 @@ import numpy as np
 from ..lsh.drift import ColumnDriftTracker
 from ..lsh.mips import MIPSIndex
 from ..lsh.rebuild import RebuildScheduler
-from ..nn.activations import LogSoftmax
+from ..nn.losses import NLLLoss
 from ..nn.network import MLP
 from ..obs import Recorder
 from ..obs.counters import (
@@ -309,13 +309,12 @@ class ALSHApproxTrainer(Trainer):
                 a_prev = a_full
             self._active_count += 1
             logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            logp = LogSoftmax().forward(logits)
-            loss = float(-logp[np.arange(batch), y].mean())
+            loss = self.loss_fn.value(
+                self.net.output_activation.forward(logits), y
+            )
 
         with self._time_backward():
-            delta = np.exp(logp)
-            delta[np.arange(batch), y] -= 1.0
-            delta /= batch
+            delta = NLLLoss.fused_logit_gradient(logits, y)
             # Backpropagate through the pre-update output weights first.
             da = backend.matmul(delta, layers[-1].W.T)
             g_w = backend.grad_cols(acts[-1], delta)
@@ -363,13 +362,12 @@ class ALSHApproxTrainer(Trainer):
                 a_prev = a_full
             self._active_count += 1
             logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            logp = LogSoftmax().forward(logits.reshape(1, -1))[0]
-            loss = float(-logp[y])
+            loss = self.loss_fn.value(
+                self.net.output_activation.forward(logits), [y]
+            )
 
         with self._time_backward():
-            probs = np.exp(logp)
-            delta = probs
-            delta[y] -= 1.0
+            delta = NLLLoss.fused_logit_gradient(logits, [y])[0]
             # Output layer: dense update (every class participates).
             # Backpropagate through the pre-update weights first.
             da = backend.matmul(layers[-1].W, delta)
@@ -380,11 +378,12 @@ class ALSHApproxTrainer(Trainer):
                 cand = active_sets[i]
                 delta_c = da[cand] * act.derivative(z_actives[i])
                 g_w_cols = backend.grad_cols(acts[i], delta_c)
+                # Backpropagate through the pre-update weights first.
+                if i > 0:
+                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
                 self._update(("W", i), layers[i].W, g_w_cols, index=cand)
                 self._update(("b", i), layers[i].b, delta_c, index=cand)
                 self._touched[i].update(cand.tolist())
-                if i > 0:
-                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
             if self.rebuild.record(1):
                 self._refresh_tables()
         if self.obs.enabled:

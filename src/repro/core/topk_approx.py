@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..nn.activations import LogSoftmax
+from ..nn.losses import NLLLoss
 from ..nn.network import MLP
 from ..obs import Recorder
 from ..obs.counters import SAMPLER_COLS_KEPT, SAMPLER_COLS_POOL
@@ -104,12 +104,12 @@ class TopKApproxTrainer(Trainer):
                 acts.append(a_full)
                 a_prev = a_full
             logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            logp = LogSoftmax().forward(logits.reshape(1, -1))[0]
-            loss = float(-logp[y])
+            loss = self.loss_fn.value(
+                self.net.output_activation.forward(logits), [y]
+            )
 
         with self._time_backward():
-            delta = np.exp(logp)
-            delta[y] -= 1.0
+            delta = NLLLoss.fused_logit_gradient(logits, [y])[0]
             da = backend.matmul(layers[-1].W, delta)
             g_w = backend.grad_cols(acts[-1], delta)
             self._update(("W", self.n_hidden), layers[-1].W, g_w)
@@ -118,10 +118,11 @@ class TopKApproxTrainer(Trainer):
                 cand = active_sets[i]
                 delta_c = da[cand] * act.derivative(z_actives[i])
                 g_w_cols = backend.grad_cols(acts[i], delta_c)
-                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
-                self._update(("b", i), layers[i].b, delta_c, index=cand)
+                # Backpropagate through the pre-update weights first.
                 if i > 0:
                     da = backend.backprop_cols(delta_c, layers[i].W, cand)
+                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
+                self._update(("b", i), layers[i].b, delta_c, index=cand)
         if self.obs.enabled:
             # The selector itself is exact MIPS (a full product), so
             # flops.actual understates the oracle's true cost — that is the

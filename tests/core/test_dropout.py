@@ -3,8 +3,33 @@
 import numpy as np
 import pytest
 
+from repro.core.alsh_approx import ALSHApproxTrainer
 from repro.core.dropout import DropoutTrainer
+from repro.core.topk_approx import TopKApproxTrainer
 from repro.nn.network import MLP
+
+#: Column-sampled trainers configured to keep every hidden node, with
+#: the batch size their step is defined on (top-k and ALSH select per
+#: sample; dropout shares one mask across the batch).
+KEEP_ALL = {
+    "dropout": (
+        lambda net: DropoutTrainer(net, lr=0.5, keep_prob=1.0, seed=1),
+        3,
+    ),
+    "topk": (
+        lambda net: TopKApproxTrainer(
+            net, lr=0.5, optimizer="sgd", active_frac=1.0, seed=1
+        ),
+        1,
+    ),
+    "alsh": (
+        lambda net: ALSHApproxTrainer(
+            net, lr=0.5, optimizer="sgd", min_active_frac=1.0,
+            max_active_frac=1.0, seed=1,
+        ),
+        1,
+    ),
+}
 
 
 class TestValidation:
@@ -36,17 +61,23 @@ class TestSampling:
 
 
 class TestTraining:
-    def test_keep_prob_one_matches_standard_updates(self, rng):
-        """With keep_prob=1 every node is active: updates must equal the
-        exact trainer's."""
+    @pytest.mark.parametrize("method", sorted(KEEP_ALL))
+    def test_keep_prob_one_matches_standard_updates(self, rng, method):
+        """With every node kept, a column-sampled step must equal the
+        exact trainer's on every layer: each hidden layer backpropagates
+        through its pre-update weights, as exact backprop does."""
         from repro.core.standard import StandardTrainer
 
-        x = rng.normal(size=(3, 6))
+        build, batch = KEEP_ALL[method]
+        x = rng.normal(size=(3, 16))
         y = rng.integers(0, 3, 3)
-        net_a = MLP([6, 5, 3], seed=0)
-        net_b = MLP([6, 5, 3], seed=0)
-        DropoutTrainer(net_a, lr=0.1, keep_prob=1.0, seed=1).train_batch(x, y)
-        StandardTrainer(net_b, lr=0.1, seed=1).train_batch(x, y)
+        net_a = MLP([16, 12, 12, 3], seed=0)
+        net_b = MLP([16, 12, 12, 3], seed=0)
+        sampled = build(net_a)
+        exact = StandardTrainer(net_b, lr=0.5, seed=1)
+        for s in range(0, len(y), batch):
+            sampled.train_batch(x[s : s + batch], y[s : s + batch])
+            exact.train_batch(x[s : s + batch], y[s : s + batch])
         for la, lb in zip(net_a.layers, net_b.layers):
             np.testing.assert_allclose(la.W, lb.W, atol=1e-10)
             np.testing.assert_allclose(la.b, lb.b, atol=1e-10)
