@@ -25,9 +25,9 @@ Accuracy contract
   reference kernels unchanged and is bitwise-equal to ``reference``.
 
 Kernels fall back to the reference expression whenever the operands are
-not float64 or the product is too small to amortise the casts
-(:data:`FAST_MIN_MACS`), so tiny per-sample products never pay staging
-overhead.
+not float64, the product has a single row (one sample), or it is too
+small to amortise the casts (:data:`FAST_MIN_MACS`), so per-sample
+products never pay staging overhead.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ class FastBackend(ReferenceBackend):
     # ------------------------------------------------------------------
     def _eligible(self, macs: int, *operands: np.ndarray) -> bool:
         if not self._quantise or macs < FAST_MIN_MACS:
+            return False
+        # A one-row product (one sample) is a matrix-vector product:
+        # staging would cast the whole weight block for one row of work.
+        if operands[0].shape[0] == 1:
             return False
         return all(
             op.ndim == 2 and op.dtype == np.float64 for op in operands

@@ -14,20 +14,18 @@ multiplied by p so their expected value matches training.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..nn.losses import NLLLoss
 from ..nn.network import MLP
 from ..obs import Recorder
-from ..obs.counters import SAMPLER_COLS_KEPT, SAMPLER_COLS_POOL
-from .base import Trainer
+from .sampled import ColumnSampledTrainer
 
 __all__ = ["DropoutTrainer"]
 
 
-class DropoutTrainer(Trainer):
+class DropoutTrainer(ColumnSampledTrainer):
     """Dropout with computation restricted to the kept columns.
 
     One mask per hidden layer is drawn per *batch* (a shared mask is what
@@ -44,6 +42,7 @@ class DropoutTrainer(Trainer):
     """
 
     name = "dropout"
+    shared_selection = True
 
     def __init__(
         self,
@@ -71,101 +70,14 @@ class DropoutTrainer(Trainer):
         self.keep_prob = float(keep_prob)
         self.min_active = int(min_active)
 
-    # ------------------------------------------------------------------
-    def _sample_active(self, n_nodes: int) -> np.ndarray:
-        """Uniformly random kept set for one hidden layer."""
-        keep = np.nonzero(self.rng.random(n_nodes) < self.keep_prob)[0]
+    def _select(self, layer_idx, a_prev, rng, record) -> np.ndarray:
+        """Uniformly random kept set for one hidden layer, blind to the data."""
+        n_nodes = self.net.layers[layer_idx].n_out
+        keep = np.nonzero(rng.random(n_nodes) < self.keep_prob)[0]
         if keep.size < self.min_active:
-            extra = self.rng.choice(n_nodes, size=self.min_active, replace=False)
+            extra = rng.choice(n_nodes, size=self.min_active, replace=False)
             keep = np.union1d(keep, extra)
         return keep
-
-    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.net.layers
-        n_hidden = len(layers) - 1
-        act = self.net.hidden_activation
-
-        with self._time_forward():
-            active_sets: List[np.ndarray] = []
-            activations = [x]
-            zs_full: List[np.ndarray] = []
-            a = x
-            for i in range(n_hidden):
-                layer = layers[i]
-                cols = self._sample_active(layer.n_out)
-                active_sets.append(cols)
-                z_cols = layer.forward_columns(a, cols)
-                z_full = np.zeros((a.shape[0], layer.n_out))
-                z_full[:, cols] = z_cols
-                zs_full.append(z_full)
-                a_full = np.zeros_like(z_full)
-                a_full[:, cols] = act.forward(z_cols)
-                activations.append(a_full)
-                a = a_full
-            logits = layers[-1].forward(a)
-            loss = self.loss_fn.value(
-                self.net.output_activation.forward(logits), y
-            )
-
-        with self._time_backward():
-            delta = NLLLoss.fused_logit_gradient(logits, y)
-            # Output layer: dense update (its columns are never sampled).
-            # Backpropagate through the pre-update weights first.
-            da = layers[-1].backprop_delta(delta)
-            g_w, g_b = layers[-1].weight_gradients(activations[-1], delta)
-            self._update(("W", n_hidden), layers[-1].W, g_w)
-            self._update(("b", n_hidden), layers[-1].b, g_b)
-            # Hidden layers: column-sparse gradients over the kept sets.
-            for i in range(n_hidden - 1, -1, -1):
-                layer = layers[i]
-                cols = active_sets[i]
-                delta_cols = da[:, cols] * act.derivative(zs_full[i][:, cols])
-                g_w_cols, g_b_cols = layer.weight_gradients_columns(
-                    activations[i], delta_cols, cols
-                )
-                if i > 0:
-                    da = layer.backprop_delta_columns(delta_cols, cols)
-                self._update(("W", i), layer.W, g_w_cols, index=cols)
-                self._update(("b", i), layer.b, g_b_cols, index=cols)
-        if self.obs.enabled:
-            self._record_step_flops(
-                x.shape[0],
-                [cols.size for cols in active_sets] + [layers[-1].n_out],
-            )
-            for i in range(n_hidden):
-                self.obs.add(SAMPLER_COLS_KEPT, int(active_sets[i].size))
-                self.obs.add(SAMPLER_COLS_POOL, int(layers[i].n_out))
-        return loss
-
-    # ------------------------------------------------------------------
-    def probe_approx_forward(self, x, rng):
-        """Training-style masked forward drawn from the probe RNG.
-
-        Mirrors one :meth:`train_batch` forward (shared mask per hidden
-        layer, no inference-time rescaling) but samples the kept sets
-        from the caller's ``rng`` so probing never advances the
-        trainer's own mask stream.
-        """
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.net.layers
-        act = self.net.hidden_activation
-        outs = []
-        for i in range(len(layers) - 1):
-            layer = layers[i]
-            keep = np.nonzero(rng.random(layer.n_out) < self.keep_prob)[0]
-            if keep.size < self.min_active:
-                extra = rng.choice(
-                    layer.n_out, size=self.min_active, replace=False
-                )
-                keep = np.union1d(keep, extra)
-            z_cols = layer.forward_columns(a, keep)
-            a_full = np.zeros((a.shape[0], layer.n_out))
-            a_full[:, keep] = act.forward(z_cols)
-            outs.append(a_full)
-            a = a_full
-        outs.append(layers[-1].forward(a))
-        return outs
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Exact forward with hidden activations scaled by keep_prob."""

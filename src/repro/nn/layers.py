@@ -6,9 +6,12 @@ exactly the orientation used in the paper's Figure 2) and bias ``b``, plus
 the handful of primitive products the sampling-based trainers need:
 
 * exact forward (``a_prev @ W + b``),
-* column-restricted forward — "sampling from the current layer" (§5),
 * row-restricted forward — "sampling from the previous layer" (§6),
 * exact gradient products for backpropagation.
+
+The column-restricted products of "sampling from the current layer" (§5)
+belong to the one column-sampled step, :mod:`repro.core.sampled`, which
+calls the backend's column kernels directly.
 
 All sampling *policy* (which columns/rows, with what probability, how the
 result is scaled) lives in :mod:`repro.core`; keeping the mechanics here lets
@@ -65,16 +68,6 @@ class DenseLayer:
         """Exact pre-activations for a batch: ``a_prev @ W + b``."""
         return active_backend().matmul_add_bias(a_prev, self.W, self.b)
 
-    def forward_columns(self, a_prev: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Exact pre-activations for the selected output nodes only.
-
-        Implements "sampling from the current layer" (§5 / Figure 2): only
-        the columns of ``W`` for the active nodes are touched, so the work
-        is ``O(batch · n_in · |cols|)`` instead of ``O(batch · n_in · n_out)``.
-        """
-        cols = np.asarray(cols)
-        return active_backend().matmul_cols(a_prev, self.W, self.b, cols)
-
     def forward_rows(
         self,
         a_prev: np.ndarray,
@@ -101,22 +94,6 @@ class DenseLayer:
     def backprop_delta(self, delta: np.ndarray) -> np.ndarray:
         """Propagate dL/dz back to dL/da of the previous layer."""
         return active_backend().matmul(delta, self.W.T)
-
-    def backprop_delta_columns(
-        self, delta_cols: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Back-propagate through the active columns only."""
-        cols = np.asarray(cols)
-        return active_backend().backprop_cols(delta_cols, self.W, cols)
-
-    def weight_gradients_columns(
-        self, a_prev: np.ndarray, delta_cols: np.ndarray, cols: np.ndarray
-    ):
-        """Sparse (gW_cols, gb_cols) for the active columns only."""
-        return (
-            active_backend().grad_cols(a_prev, delta_cols),
-            delta_cols.sum(axis=0),
-        )
 
     # ------------------------------------------------------------------
     # utilities

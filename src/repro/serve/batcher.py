@@ -353,10 +353,11 @@ class MicroBatcher:
             self.tracer.batch_event(
                 batch_id, "handler_start", size=len(live)
             )
-        batch = np.stack([r.x for r in live])
         self.dispatching_batch_id = batch_id
         try:
-            out = self.handler(batch)
+            # Stacking is guarded too: rows of mismatched widths must
+            # fail their batch, not kill the worker thread.
+            out = self.handler(np.stack([r.x for r in live]))
         except Exception as exc:  # degrade: fail the batch, keep serving
             self.obs.add(SERVE_HANDLER_ERRORS)
             now = self.clock()
@@ -365,7 +366,7 @@ class MicroBatcher:
                     request.request_id, "failed", batch=batch_id, t=now
                 )
                 request.set_exception(
-                    ServeError(f"handler failed: {exc!r}"), now
+                    ServeError(f"batch failed: {exc!r}"), now
                 )
             return len(live)
         finally:

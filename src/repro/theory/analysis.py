@@ -14,6 +14,8 @@ from typing import Callable, List
 
 import numpy as np
 
+from ..backend import active_backend
+from ..core.sampled import sampled_forward, topk_columns
 from ..nn.network import MLP
 
 __all__ = [
@@ -38,10 +40,7 @@ def make_topk_selector(net: MLP, frac: float) -> Selector:
         raise ValueError(f"frac must be in (0, 1], got {frac}")
 
     def selector(layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        layer = net.layers[layer_idx]
-        scores = np.abs(a_prev @ layer.W)
-        keep = max(1, int(round(frac * layer.n_out)))
-        return np.argpartition(-scores, keep - 1)[:keep]
+        return topk_columns(a_prev, net.layers[layer_idx].W, frac, active_backend())
 
     return selector
 
@@ -75,26 +74,27 @@ def measure_layerwise_error(
     """Mean relative error ‖â^k − a^k‖/‖a^k‖ per hidden layer.
 
     The *estimated* chain feeds each layer the previous layer's estimate
-    (errors compound, as in Lemma 7.1); the exact chain is computed in
-    parallel for reference.  Averaged over the rows of ``x``.
+    (errors compound, as in Lemma 7.1) — it is the column-sampled forward
+    the trainers run (:func:`repro.core.sampled.sampled_forward`); the
+    exact chain is computed alongside for reference.  Averaged over the
+    rows of ``x``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n_hidden = len(net.layers) - 1
     if n_hidden < 1:
         raise ValueError("network has no hidden layers to measure")
     act = net.hidden_activation
+    backend = active_backend()
     totals = np.zeros(n_hidden)
     for sample in x:
+        estimates = sampled_forward(
+            net, sample[None, :], lambda i, a: selector(i, a[0]), backend
+        )[0]
         a_true = sample
-        a_hat = sample
         for i in range(n_hidden):
             layer = net.layers[i]
             a_true = act.forward(a_true @ layer.W + layer.b)
-            cols = selector(i, a_hat)
-            z_hat = a_hat @ layer.W[:, cols] + layer.b[cols]
-            a_next = np.zeros(layer.n_out)
-            a_next[cols] = act.forward(z_hat)
-            a_hat = a_next
+            a_hat = estimates[i + 1][0]
             denom = np.linalg.norm(a_true)
             if denom == 0.0:
                 totals[i] += 0.0 if np.linalg.norm(a_hat) == 0.0 else 1.0

@@ -149,7 +149,7 @@ class TestUnionBatchMode:
             net, seed=1, batch_mode="union",
             min_active_frac=0.1, max_active_frac=0.3,
         )
-        cand = trainer._select_active_union(0, rng.normal(size=(12, 20)))
+        cand = trainer._select_active(0, rng.normal(size=(12, 20)))
         assert 6 <= cand.size <= 18
 
     def test_union_learns(self, tiny_dataset):

@@ -35,14 +35,6 @@ class TestForward:
         x = rng.normal(size=(3, 6))
         np.testing.assert_allclose(layer.forward(x), x @ layer.W + layer.b)
 
-    def test_forward_columns_matches_slice(self, layer, rng):
-        x = rng.normal(size=(2, 6))
-        cols = np.array([0, 2])
-        full = layer.forward(x)
-        np.testing.assert_allclose(
-            layer.forward_columns(x, cols), full[:, cols], atol=1e-12
-        )
-
     def test_forward_rows_all_rows_is_exact(self, layer, rng):
         x = rng.normal(size=(2, 6))
         rows = np.arange(6)
@@ -84,21 +76,6 @@ class TestBackward:
     def test_backprop_delta(self, layer, rng):
         delta = rng.normal(size=(2, 4))
         np.testing.assert_allclose(layer.backprop_delta(delta), delta @ layer.W.T)
-
-    def test_column_restricted_consistency(self, layer, rng):
-        """Sparse-column products must equal the dense ones restricted."""
-        x = rng.normal(size=(2, 6))
-        delta = rng.normal(size=(2, 4))
-        cols = np.array([1, 3])
-        g_full, _ = layer.weight_gradients(x, delta)
-        g_cols, g_b_cols = layer.weight_gradients_columns(x, delta[:, cols], cols)
-        np.testing.assert_allclose(g_cols, g_full[:, cols], atol=1e-12)
-        np.testing.assert_allclose(g_b_cols, delta[:, cols].sum(axis=0))
-        # Delta propagation through the selected columns only.
-        expected = delta[:, cols] @ layer.W[:, cols].T
-        np.testing.assert_allclose(
-            layer.backprop_delta_columns(delta[:, cols], cols), expected
-        )
 
 
 class TestUtilities:

@@ -70,6 +70,23 @@ class TestCrashingHandler:
             np.testing.assert_array_equal(good.result(RESULT_TIMEOUT), [10.0])
 
 
+    def test_mismatched_widths_fail_their_batch_not_the_worker(self):
+        """Rows that cannot be stacked fail their own batch with a
+        ServeError; the worker keeps serving the requests after them."""
+        recorder = InMemoryRecorder()
+        with MicroBatcher(
+            echo_handler, max_batch=2, max_wait=60.0, recorder=recorder
+        ) as batcher:
+            bad = [batcher.submit([1.0]), batcher.submit([1.0, 2.0])]
+            for request in bad:
+                with pytest.raises(ServeError):
+                    request.result(RESULT_TIMEOUT)
+            good = [batcher.submit([3.0]), batcher.submit([4.0])]
+            np.testing.assert_array_equal(good[0].result(RESULT_TIMEOUT), [6.0])
+            np.testing.assert_array_equal(good[1].result(RESULT_TIMEOUT), [8.0])
+        assert recorder.get(SERVE_HANDLER_ERRORS) == 1
+
+
 class TestSlowHandler:
     def test_overload_sheds_instead_of_queueing_unboundedly(self):
         def slow(batch):
