@@ -30,6 +30,8 @@ from ..nn.checkpoint import (
     TrainerCheckpoint,
     checkpoint_path,
     load_checkpoint,
+    network_arrays,
+    restore_network,
     save_checkpoint,
 )
 from ..nn.losses import NLLLoss
@@ -370,10 +372,7 @@ class Trainer:
         stopped_early: bool,
     ) -> TrainerCheckpoint:
         """Everything :meth:`fit` needs to continue bitwise-identically."""
-        arrays: Dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.net.layers):
-            arrays[f"net.W{i}"] = layer.W
-            arrays[f"net.b{i}"] = layer.b
+        arrays = network_arrays(self.net)
         opt_meta, opt_arrays = self.optimizer.state_dict()
         arrays.update(opt_arrays)
         aux_meta, aux_arrays = self.checkpoint_state()
@@ -424,21 +423,7 @@ class Trainer:
                 f"checkpoint holds {ckpt.method!r} trainer state, "
                 f"this trainer is {self.name!r}"
             )
-        for i, layer in enumerate(self.net.layers):
-            try:
-                w = ckpt.arrays[f"net.W{i}"]
-                b = ckpt.arrays[f"net.b{i}"]
-            except KeyError:
-                raise ValueError(
-                    f"checkpoint is missing arrays for layer {i}"
-                ) from None
-            if w.shape != layer.W.shape or b.shape != layer.b.shape:
-                raise ValueError(
-                    f"layer {i} shape mismatch: checkpoint {w.shape} vs "
-                    f"network {layer.W.shape}"
-                )
-            layer.W = w.copy()
-            layer.b = b.copy()
+        restore_network(self.net, ckpt.arrays)
         payload = ckpt.payload
         self.optimizer.load_state_dict(payload["optimizer"], ckpt.arrays)
         self.rng.bit_generator.state = payload["rng_state"]

@@ -14,6 +14,10 @@ hidden layers over a block of rows that share one selection per layer,
 and :class:`ColumnSampledTrainer` adds the loss head, the dense
 output-layer update and the column-sparse hidden backward.  A method
 supplies only its selector, :meth:`ColumnSampledTrainer._select`.
+
+The trainer stores its hidden weights node-major (:func:`_store_node_major`):
+the kernels here read and write whole columns of ``W``, one node's fan-in
+each, so each column is kept contiguous in memory.
 """
 
 from __future__ import annotations
@@ -48,6 +52,22 @@ def topk_columns(
     return top
 
 
+def _store_node_major(net: MLP) -> None:
+    """Store every hidden layer's ``W`` node-major, in Fortran order.
+
+    The logical ``n_in × n_out`` shape and every value stay the same; only
+    the memory order changes, so a node's fan-in (column ``j``) is one
+    contiguous run.  The column gathers and scatters of the step
+    (``W[:, kept]`` in the kernels and in the lazy optimiser's moments,
+    which inherit the layout through ``zeros_like``) then copy contiguous
+    runs instead of a few elements out of every row.  The output layer is
+    dense and keeps its row-major storage.  Layers convert one at a time,
+    so peak memory grows by at most one matrix.
+    """
+    for layer in net.layers[:-1]:
+        layer.W = np.asfortranarray(layer.W)
+
+
 def sampled_forward(
     net: MLP, a: np.ndarray, select: Selector, backend
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], np.ndarray]:
@@ -80,7 +100,8 @@ class ColumnSampledTrainer(Trainer):
 
     One step forwards a block of rows through :func:`sampled_forward`,
     takes the NLL loss head, updates the output layer densely and the
-    hidden layers column-sparsely.  Every layer backpropagates its delta
+    hidden layers column-sparsely.  Hidden weights are stored node-major
+    from construction on (:func:`_store_node_major`).  Every layer backpropagates its delta
     through its *pre-update* weights before the optimiser step touches
     them, exactly as exact backprop does.
 
@@ -93,6 +114,10 @@ class ColumnSampledTrainer(Trainer):
     #: (dropout's mask) rather than each row selecting its own (top-k,
     #: ALSH).  Training, :meth:`predict` and the probes honour it.
     shared_selection = False
+
+    def __init__(self, network: MLP, **kwargs):
+        super().__init__(network, **kwargs)
+        _store_node_major(network)
 
     def _select(
         self,

@@ -51,6 +51,7 @@ import json
 
 import numpy as np
 
+from .network import MLP
 from .serialize import atomic_savez, read_archive
 
 __all__ = [
@@ -58,6 +59,8 @@ __all__ = [
     "checkpoint_path",
     "save_checkpoint",
     "load_checkpoint",
+    "network_arrays",
+    "restore_network",
 ]
 
 _FORMAT_VERSION = 1
@@ -148,3 +151,37 @@ def load_checkpoint(path: Union[str, Path]) -> TrainerCheckpoint:
         payload=meta.get("payload", {}),
         arrays=arrays,
     )
+
+
+def network_arrays(net: MLP) -> Dict[str, np.ndarray]:
+    """Every layer's ``W`` and ``b`` under checkpoint names ``net.W{i}``/``net.b{i}``."""
+    arrays: Dict[str, np.ndarray] = {}
+    for i, layer in enumerate(net.layers):
+        arrays[f"net.W{i}"] = layer.W
+        arrays[f"net.b{i}"] = layer.b
+    return arrays
+
+
+def restore_network(net: MLP, arrays: Dict[str, np.ndarray]) -> None:
+    """Copy checkpointed weights into ``net``, keeping each layer's layout.
+
+    Each restored ``W`` takes the memory order of the live layer it
+    replaces (node-major hidden layers of the column-sampled trainers stay
+    node-major), whatever order the archive stored.  Raises ``ValueError``
+    for missing arrays or a shape mismatch.
+    """
+    for i, layer in enumerate(net.layers):
+        try:
+            w = arrays[f"net.W{i}"]
+            b = arrays[f"net.b{i}"]
+        except KeyError:
+            raise ValueError(
+                f"checkpoint is missing arrays for layer {i}"
+            ) from None
+        if w.shape != layer.W.shape or b.shape != layer.b.shape:
+            raise ValueError(
+                f"layer {i} shape mismatch: checkpoint {w.shape} vs "
+                f"network {layer.W.shape}"
+            )
+        layer.W = np.array(w, order="F" if np.isfortran(layer.W) else "C")
+        layer.b = b.copy()

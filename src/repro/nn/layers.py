@@ -36,6 +36,16 @@ __all__ = ["DenseLayer"]
 class DenseLayer:
     """A dense layer ``z = a_prev @ W + b``.
 
+    ``W`` is created row-major (C order).  The column-sampled trainers
+    (dropout, top-k, ALSH; :mod:`repro.core.sampled`) store their hidden
+    layers *node-major* instead.  That is Fortran order with the same
+    logical ``n_in × n_out`` shape, so node ``j``'s fan-in ``W[:, j]`` is
+    contiguous, and their column gathers and lazy-optimiser scatters copy
+    contiguous runs.  Every product here accepts either order.  The
+    row-sampled MC trainer keeps row-major storage, because it gathers
+    rows ``W[rows, :]``, and so do the dense trainers and every output
+    layer.
+
     Parameters
     ----------
     n_in, n_out:

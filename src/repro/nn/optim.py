@@ -77,6 +77,9 @@ class Optimizer:
         self.weight_decay = float(weight_decay)
         self.max_grad_norm = None if max_grad_norm is None else float(max_grad_norm)
         self._state: Dict[object, Dict[str, np.ndarray]] = {}
+        #: Keys whose slots came from :meth:`load_state_dict` and have not
+        #: yet met their parameter (see :meth:`_get_state`).
+        self._restored: set = set()
 
     def _clip(self, grad: np.ndarray) -> np.ndarray:
         if self.max_grad_norm is None:
@@ -104,6 +107,14 @@ class Optimizer:
         if state is None:
             state = self._init_state(param)
             self._state[key] = state
+        elif self._restored and key in self._restored:
+            # A restored slot takes its parameter's memory order on first
+            # use, as a fresh one does through ``zeros_like``.
+            self._restored.discard(key)
+            order = "F" if np.isfortran(param) else "C"
+            for slot, arr in state.items():
+                if arr.shape == param.shape:
+                    state[slot] = np.array(arr, order=order)
         return state
 
     def _init_state(self, param: np.ndarray) -> Dict[str, np.ndarray]:
@@ -126,6 +137,7 @@ class Optimizer:
     def reset(self) -> None:
         """Drop all accumulated state (fresh optimiser)."""
         self._state.clear()
+        self._restored.clear()
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -172,6 +184,7 @@ class Optimizer:
                 slot: np.array(arrays[f"opt.{j}.{slot}"])
                 for slot in entry["slots"]
             }
+        self._restored = set(self._state)
 
 
 class SGD(Optimizer):

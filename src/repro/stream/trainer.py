@@ -54,6 +54,8 @@ from ..nn.checkpoint import (
     TrainerCheckpoint,
     checkpoint_path,
     load_checkpoint,
+    network_arrays,
+    restore_network,
     save_checkpoint,
 )
 from ..nn.network import MLP
@@ -383,10 +385,7 @@ class StreamTrainer:
     def _capture(self) -> TrainerCheckpoint:
         """Everything :meth:`run` needs to continue bitwise-identically."""
         tr = self.trainer
-        arrays: Dict[str, np.ndarray] = {}
-        for i, layer in enumerate(tr.net.layers):
-            arrays[f"net.W{i}"] = layer.W
-            arrays[f"net.b{i}"] = layer.b
+        arrays = network_arrays(tr.net)
         opt_meta, opt_arrays = tr.optimizer.state_dict()
         arrays.update(opt_arrays)
         aux_meta, aux_arrays = tr.checkpoint_state()
@@ -451,21 +450,7 @@ class StreamTrainer:
                 f"checkpoint holds {ckpt.method!r} state, "
                 f"this stream trainer is {self._method!r}"
             )
-        for i, layer in enumerate(tr.net.layers):
-            try:
-                w = ckpt.arrays[f"net.W{i}"]
-                b = ckpt.arrays[f"net.b{i}"]
-            except KeyError:
-                raise ValueError(
-                    f"checkpoint is missing arrays for layer {i}"
-                ) from None
-            if w.shape != layer.W.shape or b.shape != layer.b.shape:
-                raise ValueError(
-                    f"layer {i} shape mismatch: checkpoint {w.shape} vs "
-                    f"network {layer.W.shape}"
-                )
-            layer.W = w.copy()
-            layer.b = b.copy()
+        restore_network(tr.net, ckpt.arrays)
         payload = ckpt.payload
         tr.optimizer.load_state_dict(payload["optimizer"], ckpt.arrays)
         tr.rng.bit_generator.state = payload["rng_state"]
