@@ -22,6 +22,7 @@ each, so each column is kept contiguous in memory.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -216,6 +217,24 @@ class ColumnSampledTrainer(Trainer):
     # ------------------------------------------------------------------
     # quality probes and inference
     # ------------------------------------------------------------------
+    def _read_only_forward(self, x, rng):
+        """:func:`sampled_forward` over the selection blocks of ``x``,
+        selecting with ``rng`` and ``record=False``.
+
+        No trainer RNG stream, selection counter or diagnostic moves, so
+        inference and probing leave training exactly as it was.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        backend = self._backend()
+
+        def select(i, a):
+            return self._select(i, a, rng, False)
+
+        return [
+            sampled_forward(self.net, rows, select, backend)
+            for rows in self._blocks(x)
+        ]
+
     def probe_approx_forward(self, x, rng):
         """Training-style sampled forward, read-only.
 
@@ -224,16 +243,7 @@ class ColumnSampledTrainer(Trainer):
         moves no RNG stream, selection counter or diagnostic of
         training; its kernels are timed and counted like any forward.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        backend = self._backend()
-
-        def select(i, a):
-            return self._select(i, a, rng, False)
-
-        runs = [
-            sampled_forward(self.net, rows, select, backend)
-            for rows in self._blocks(x)
-        ]
+        runs = self._read_only_forward(x, rng)
         hidden = [
             np.vstack([acts[i] for acts, _, _, _ in runs])
             for i in range(1, len(self.net.layers))
@@ -245,15 +255,13 @@ class ColumnSampledTrainer(Trainer):
 
         This is the §10.3 setting: "when predicting the label of an input
         sample, the same set of nodes is activated", which is what
-        produces the predicted-label collapse in deep networks.
+        produces the predicted-label collapse in deep networks.  Any
+        selection randomness (ALSH's size clamp) comes from a copy of the
+        trainer's stream: inference draws what the next step would, but
+        consumes nothing, so evaluating never perturbs training.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        backend = self._backend()
-        preds = [
-            sampled_forward(self.net, rows, self._select_active, backend)[3]
-            .argmax(axis=1)
-            for rows in self._blocks(x)
-        ]
+        runs = self._read_only_forward(x, copy.deepcopy(self.rng))
+        preds = [logits.argmax(axis=1) for _, _, _, logits in runs]
         return np.concatenate(preds) if preds else np.empty(0, dtype=int)
 
     def predict_exact(self, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ bench uses it to show the theory's exponential growth shows up in practice.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List
 
 import numpy as np
@@ -60,10 +61,16 @@ def make_random_selector(net: MLP, frac: float, seed: int = 0) -> Selector:
 
 
 def make_alsh_selector(trainer) -> Selector:
-    """Selector backed by a live ALSH trainer's hash tables."""
+    """Selector backed by a live ALSH trainer's hash tables, read-only.
+
+    The size clamp draws from a copy of the trainer's stream and the
+    lookups run with ``record=False``, so measuring moves no RNG stream,
+    counter or diagnostic of the trainer.
+    """
+    rng = copy.deepcopy(trainer.rng)
 
     def selector(layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        return trainer._select_active(layer_idx, a_prev)
+        return trainer._select(layer_idx, np.atleast_2d(a_prev), rng, False)
 
     return selector
 

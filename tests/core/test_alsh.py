@@ -58,6 +58,47 @@ class TestActiveSelection:
         assert (fracs <= 1).all()
 
 
+class TestInferenceIsReadOnly:
+    """Sampled ``predict`` selects on a copy of the trainer's stream with
+    ``record=False``: evaluating moves no state that training reads."""
+
+    def test_validation_does_not_perturb_training(self, tiny_dataset):
+        def fit(**val):
+            net = MLP(
+                [tiny_dataset.input_dim, 32, 32, tiny_dataset.n_classes], seed=0
+            )
+            trainer = ALSHApproxTrainer(net, seed=1)
+            trainer.fit(
+                tiny_dataset.x_train, tiny_dataset.y_train,
+                epochs=2, batch_size=20, **val,
+            )
+            return trainer
+
+        plain = fit()
+        validated = fit(x_val=tiny_dataset.x_val, y_val=tiny_dataset.y_val)
+        for i, (a, b) in enumerate(zip(plain.net.layers, validated.net.layers)):
+            np.testing.assert_array_equal(a.W, b.W, err_msg=f"W{i}")
+            np.testing.assert_array_equal(a.b, b.b, err_msg=f"b{i}")
+
+    def test_predict_moves_no_trainer_state(self, rng):
+        from repro.obs import InMemoryRecorder
+
+        net = MLP([20, 40, 40, 4], seed=0)
+        trainer = ALSHApproxTrainer(net, seed=1, recorder=InMemoryRecorder())
+        trainer.train_batch(rng.normal(size=(3, 20)), np.array([0, 1, 2]))
+        x = rng.normal(size=(6, 20))
+        rng_state = trainer.rng.bit_generator.state
+        active = trainer.average_active_fraction().copy()
+        counters = trainer.obs.snapshot()["counters"]
+        lsh_counters = {k: v for k, v in counters.items() if k.startswith("lsh.")}
+        first = trainer.predict(x)
+        np.testing.assert_array_equal(first, trainer.predict(x))
+        assert trainer.rng.bit_generator.state == rng_state
+        np.testing.assert_array_equal(trainer.average_active_fraction(), active)
+        after = trainer.obs.snapshot()["counters"]
+        assert {k: v for k, v in after.items() if k.startswith("lsh.")} == lsh_counters
+
+
 class TestTraining:
     def test_inactive_columns_untouched_per_step(self, rng):
         """Only the active columns of a hidden layer may change."""

@@ -49,6 +49,17 @@ class TestSelectors:
         assert cols.size >= 1
         assert (cols < 32).all()
 
+    def test_alsh_selector_leaves_trainer_untouched(self, net, rng):
+        trainer = ALSHApproxTrainer(
+            net, seed=2, min_active_frac=0.5, max_active_frac=0.5
+        )
+        rng_state = trainer.rng.bit_generator.state
+        measure_layerwise_error(
+            net, make_alsh_selector(trainer), rng.normal(size=(4, 16))
+        )
+        assert trainer.rng.bit_generator.state == rng_state
+        assert trainer._active_count == 0
+
 
 class TestMeasurement:
     def test_full_budget_zero_error(self, net, rng):
