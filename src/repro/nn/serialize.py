@@ -97,7 +97,9 @@ def read_archive(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     if not path.exists():
         raise FileNotFoundError(path)
     try:
-        with np.load(path) as archive:
+        # Own the handle: np.load leaks the file it opened itself when it
+        # raises on a truncated archive.
+        with open(path, "rb") as handle, np.load(handle) as archive:
             return {name: archive[name] for name in archive.files}
     except _CORRUPT_ARCHIVE_ERRORS as exc:
         raise ValueError(

@@ -1,11 +1,20 @@
 """Tests for MLP and ConvClassifier serialisation."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
 from repro.nn.network import MLP
-from repro.nn.serialize import load_conv, load_mlp, save_conv, save_mlp
+from repro.nn.serialize import (
+    load_conv,
+    load_mlp,
+    read_archive,
+    save_conv,
+    save_mlp,
+)
 
 
 class TestRoundTrip:
@@ -162,6 +171,20 @@ class TestCorruptArchives:
         path.write_bytes(blob[: int(len(blob) * keep_fraction)])
         with pytest.raises(ValueError, match="truncated or corrupt"):
             load_mlp(path)
+
+    @pytest.mark.parametrize("keep_fraction", [0.2, 0.6])
+    def test_truncated_archive_closes_its_file(self, tmp_path, keep_fraction):
+        """A rejected archive leaves no open file for the collector."""
+        path = save_mlp(MLP([16, 8, 4], seed=0), tmp_path / "model")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * keep_fraction)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="truncated or corrupt"):
+                read_archive(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_truncated_conv_archive(self, tmp_path):
         path = save_conv(_conv_model(), tmp_path / "conv")
