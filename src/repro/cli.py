@@ -906,6 +906,7 @@ def _cmd_serve(args) -> int:
                         if server.batcher.queue_depth() < server.batcher.max_queue
                         else (False, "queue at shed threshold")
                     ),
+                    health_fn=server.batcher.health,
                 )
                 print(f"metrics: serving {metrics.url}/metrics")
             t0 = time.perf_counter()

@@ -15,9 +15,11 @@ names sanitise to underscores under a configurable prefix (default
 * ``GET /metrics`` — Prometheus text exposition of the live snapshot;
 * ``GET /metrics.json`` — the raw JSON snapshot (consumed by
   ``python -m repro slo-check --url``);
-* ``GET /healthz`` — 200 while the process is up (liveness);
-* ``GET /readyz`` — 200/503 from an injectable ``ready_fn`` (for the
-  serving path: registry loaded and queue below the shed threshold).
+* ``GET /healthz`` — 200/503 from an injectable ``health_fn``
+  (liveness; the serving path ties it to the micro-batcher's worker
+  thread);
+* ``GET /readyz`` — 503 while unhealthy, else 200/503 from an injectable
+  ``ready_fn`` (for the serving path: queue below the shed threshold).
 
 For multi-process executor sweeps, :func:`write_exposition` atomically
 writes the merged snapshot to a ``.prom`` text file after each task
@@ -173,9 +175,10 @@ class MetricsServer:
     """Background HTTP thread exposing /metrics, /healthz and /readyz.
 
     ``snapshot_fn`` is called per scrape (it should be cheap — recorder
-    snapshots are dict copies); ``ready_fn`` returns ``(ready, reason)``
-    and defaults to always-ready.  ``port=0`` binds an ephemeral port,
-    available as :attr:`port` after construction.
+    snapshots are dict copies).  ``health_fn`` and ``ready_fn`` each
+    return ``(ok, reason)`` and default to always-ok; the reason is the
+    response body.  ``port=0`` binds an ephemeral port, available as
+    :attr:`port` after construction.
     """
 
     def __init__(
@@ -185,8 +188,10 @@ class MetricsServer:
         host: str = "127.0.0.1",
         ready_fn: Optional[Callable[[], Tuple[bool, str]]] = None,
         prefix: str = DEFAULT_PREFIX,
+        health_fn: Optional[Callable[[], Tuple[bool, str]]] = None,
     ):
         self.snapshot_fn = snapshot_fn
+        self.health_fn = health_fn or (lambda: (True, "ok"))
         self.ready_fn = ready_fn or (lambda: (True, "ok"))
         self.prefix = prefix
         server = self
@@ -216,12 +221,12 @@ class MetricsServer:
                     elif path == "/metrics.json":
                         body = json.dumps(server.snapshot_fn() or {})
                         self._send(200, body, "application/json")
-                    elif path == "/healthz":
-                        self._send(200, "ok\n", "text/plain")
-                    elif path == "/readyz":
-                        ready, reason = server.ready_fn()
+                    elif path in ("/healthz", "/readyz"):
+                        ok, reason = server.health_fn()
+                        if ok and path == "/readyz":
+                            ok, reason = server.ready_fn()
                         self._send(
-                            200 if ready else 503, reason + "\n", "text/plain"
+                            200 if ok else 503, reason + "\n", "text/plain"
                         )
                     else:
                         self._send(404, "not found\n", "text/plain")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -327,6 +327,20 @@ class MicroBatcher:
     def queue_depth(self) -> int:
         with self._lock:
             return len(self.collector)
+
+    def health(self) -> Tuple[bool, str]:
+        """``(healthy, reason)``: whether submitted requests get served.
+
+        Unhealthy once the batcher is closed or its worker thread has
+        stopped; the ``/healthz`` endpoint of a server reports this.
+        Without a worker (``start_worker=False``) dispatch is the
+        caller's, so only closing makes it unhealthy.
+        """
+        if self._closed:
+            return False, "micro-batcher is closed"
+        if self._worker is not None and not self._worker.is_alive():
+            return False, "micro-batcher worker thread is not running"
+        return True, "ok"
 
     # ------------------------------------------------------------------
     # dispatch

@@ -342,6 +342,7 @@ def run_smoke(
                 if server.batcher.queue_depth() < server.batcher.max_queue
                 else (False, "queue at shed threshold")
             ),
+            health_fn=server.batcher.health,
         )
         if verbose:
             print(f"metrics: serving {metrics.url}/metrics")

@@ -133,6 +133,21 @@ class TestMetricsServer:
             assert exc.value.code == 503
             assert exc.value.read().decode("utf-8") == "draining\n"
 
+    def test_healthz_reflects_health_fn_and_gates_readyz(self):
+        health = {"ok": True}
+        with MetricsServer(
+            dict,
+            port=0,
+            health_fn=lambda: (health["ok"], "ok" if health["ok"] else "worker down"),
+        ) as server:
+            assert _get(server.url + "/healthz") == (200, "ok\n")
+            health["ok"] = False
+            for path in ("/healthz", "/readyz"):
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    _get(server.url + path)
+                assert exc.value.code == 503
+                assert exc.value.read().decode("utf-8") == "worker down\n"
+
     def test_unknown_path_is_404(self):
         with MetricsServer(dict, port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as exc:

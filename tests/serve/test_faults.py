@@ -8,11 +8,14 @@ timeout, so a regression shows up as a test failure, not a hang.
 
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.obs import InMemoryRecorder
+from repro.obs.export import MetricsServer
 from repro.obs.counters import SERVE_HANDLER_ERRORS, SERVE_SHED_QUEUE_FULL
 from repro.serve.batcher import (
     MicroBatcher,
@@ -175,3 +178,54 @@ class TestSlowHandler:
         batcher = MicroBatcher(echo_handler, max_batch=2, max_wait=0.001)
         batcher.close()
         batcher.close()
+
+
+def _healthz(server):
+    """``(status, body)`` of ``GET /healthz``, 503 included."""
+    try:
+        with urllib.request.urlopen(server.url + "/healthz", timeout=5.0) as resp:
+            return resp.status, resp.read().decode("utf-8")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8")
+
+
+class TestWorkerHealth:
+    """``/healthz`` follows the micro-batcher's worker thread."""
+
+    # The injected exit is reported as an unhandled thread exception.
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_worker_turns_healthz_503(self):
+        kill = threading.Event()
+
+        def clock():
+            # Fault injection: the worker thread exits at its next tick.
+            if kill.is_set() and threading.current_thread().name == "micro-batcher":
+                raise SystemExit
+            return time.monotonic()
+
+        batcher = MicroBatcher(echo_handler, max_batch=2, max_wait=0.001, clock=clock)
+        try:
+            with MetricsServer(dict, port=0, health_fn=batcher.health) as server:
+                assert _healthz(server) == (200, "ok\n")
+                kill.set()
+                stranded = batcher.submit([1.0])
+                batcher._worker.join(RESULT_TIMEOUT)
+                assert not stranded.done()
+                assert _healthz(server) == (
+                    503, "micro-batcher worker thread is not running\n"
+                )
+        finally:
+            batcher.close()
+
+    def test_closed_batcher_turns_healthz_503(self):
+        batcher = MicroBatcher(echo_handler, max_batch=2, max_wait=0.001)
+        with MetricsServer(dict, port=0, health_fn=batcher.health) as server:
+            assert _healthz(server)[0] == 200
+            batcher.close()
+            assert _healthz(server) == (503, "micro-batcher is closed\n")
+
+    def test_manual_dispatch_is_healthy_until_closed(self):
+        batcher = MicroBatcher(echo_handler, start_worker=False)
+        assert batcher.health() == (True, "ok")
+        batcher.close()
+        assert batcher.health()[0] is False
