@@ -101,10 +101,10 @@ class ColumnSampledTrainer(Trainer):
 
     One step forwards a block of rows through :func:`sampled_forward`,
     takes the NLL loss head, updates the output layer densely and the
-    hidden layers column-sparsely.  Hidden weights are stored node-major
-    from construction on (:func:`_store_node_major`).  Every layer backpropagates its delta
+    hidden layers column-sparsely.  Every layer backpropagates its delta
     through its *pre-update* weights before the optimiser step touches
-    them, exactly as exact backprop does.
+    them, exactly as exact backprop does.  Hidden weights are stored
+    node-major from construction on (:func:`_store_node_major`).
 
     Subclasses implement :meth:`_select`.  Kernels, the optimiser and the
     LSH indexes are looked up at call time, never cached, so wrappers

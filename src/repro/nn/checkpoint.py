@@ -154,7 +154,7 @@ def load_checkpoint(path: Union[str, Path]) -> TrainerCheckpoint:
 
 
 def network_arrays(net: MLP) -> Dict[str, np.ndarray]:
-    """Every layer's ``W`` and ``b`` under checkpoint names ``net.W{i}``/``net.b{i}``."""
+    """Every layer's ``W`` and ``b``, named ``net.W{i}`` and ``net.b{i}``."""
     arrays: Dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
         arrays[f"net.W{i}"] = layer.W

@@ -114,7 +114,7 @@ class Optimizer:
             order = "F" if np.isfortran(param) else "C"
             for slot, arr in state.items():
                 if arr.shape == param.shape:
-                    state[slot] = np.array(arr, order=order)
+                    state[slot] = np.asarray(arr, order=order)
         return state
 
     def _init_state(self, param: np.ndarray) -> Dict[str, np.ndarray]:

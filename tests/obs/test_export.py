@@ -145,8 +145,9 @@ class TestMetricsServer:
             for path in ("/healthz", "/readyz"):
                 with pytest.raises(urllib.error.HTTPError) as exc:
                     _get(server.url + path)
-                assert exc.value.code == 503
-                assert exc.value.read().decode("utf-8") == "worker down\n"
+                with exc.value:
+                    assert exc.value.code == 503
+                    assert exc.value.read().decode("utf-8") == "worker down\n"
 
     def test_unknown_path_is_404(self):
         with MetricsServer(dict, port=0) as server:

@@ -186,7 +186,8 @@ def _healthz(server):
         with urllib.request.urlopen(server.url + "/healthz", timeout=5.0) as resp:
             return resp.status, resp.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8")
+        with exc:
+            return exc.code, exc.read().decode("utf-8")
 
 
 class TestWorkerHealth:
@@ -210,6 +211,7 @@ class TestWorkerHealth:
                 kill.set()
                 stranded = batcher.submit([1.0])
                 batcher._worker.join(RESULT_TIMEOUT)
+                assert not batcher._worker.is_alive()
                 assert not stranded.done()
                 assert _healthz(server) == (
                     503, "micro-batcher worker thread is not running\n"
