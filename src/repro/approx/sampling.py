@@ -33,9 +33,29 @@ def importance_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"inner dimensions differ: A is {a.shape}, B is {b.shape}"
         )
-    col_norms = np.linalg.norm(a, axis=0)
-    row_norms = np.linalg.norm(b, axis=1)
-    return col_norms * row_norms
+    return _norms(a, axis=0) * _norms(b, axis=1)
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of a 2-D array, bit for bit.
+
+    NumPy sums a reduction pairwise when the reduced axis is the
+    contiguous one, and sequentially, one strided slice after another,
+    when the other axis is.  In that strided case ``norm`` first squares
+    the whole array into a temporary; ``einsum`` adds the same squares in
+    the same order in one pass.  That is the ``W.T`` of every delta
+    propagation, whose rows are strided columns of a row-major ``W``.
+    """
+    kept = 1 - axis
+    if (
+        x.dtype == np.float64
+        and x.shape[axis] > 1
+        and x.shape[kept] > 1
+        and x.strides[kept] == x.itemsize
+        and x.strides[axis] > x.itemsize
+    ):
+        return np.sqrt(np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", x, x))
+    return np.linalg.norm(x, axis=axis)
 
 
 def normalize_probabilities(scores: np.ndarray) -> np.ndarray:

@@ -29,6 +29,46 @@ class TestImportanceScores:
         with pytest.raises(ValueError):
             importance_scores(rng.normal(size=(2, 3)), rng.normal(size=(4, 2)))
 
+    @pytest.mark.parametrize(
+        "m, n, p",
+        [(20, 1000, 1000), (20, 1000, 784), (20, 10, 1000), (1, 7, 5), (3, 1, 4), (6, 5, 1)],
+    )
+    @pytest.mark.parametrize("a_order", ["C", "F"])
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    def test_bitwise_equal_to_linalg_norm(self, rng, m, n, p, a_order, b_order):
+        """Every layout sums in ``np.linalg.norm``'s order: pairwise along
+        a contiguous axis, sequentially along a strided one."""
+        a = np.asarray(rng.normal(size=(m, n)) * 7.0, order=a_order)
+        b = np.asarray(rng.normal(size=(n, p)) * 0.3, order=b_order)
+        for x, y in ((a, b), (b.T, a.T)):
+            expected = np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=1)
+            assert np.array_equal(importance_scores(x, y), expected)
+
+    def test_one_row_operand_is_both_orders(self, rng):
+        """A ``(1, n)`` operand is C- and F-contiguous at once; its
+        reduced axis is contiguous, so NumPy sums it pairwise."""
+        b = rng.normal(size=(1, 1000))
+        assert b.flags.c_contiguous and b.flags.f_contiguous
+        a = rng.normal(size=(5, 1))
+        expected = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+        assert np.array_equal(importance_scores(a, b), expected)
+
+    def test_broadcast_operands(self, rng):
+        """A zero-stride axis is not a strided one: NumPy may sum it
+        in another order."""
+        # Strides (0, 8) and (8, 0): each reduced axis has stride 0.
+        a = np.broadcast_to(rng.normal(size=(1, 40)), (30, 40))
+        b = np.broadcast_to(rng.normal(size=(40, 1)), (40, 50))
+        expected = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+        assert np.array_equal(importance_scores(a, b), expected)
+
+    def test_delta_propagation_operand(self, rng):
+        """``W.T`` of a row-major ``W``: rows of strided elements."""
+        w = rng.normal(size=(1000, 1000))
+        delta = rng.normal(size=(20, 1000))
+        expected = np.linalg.norm(delta, axis=0) * np.linalg.norm(w.T, axis=1)
+        assert np.array_equal(importance_scores(delta, w.T), expected)
+
 
 class TestNormalize:
     def test_sums_to_one(self, rng):
