@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.mc_approx import MCApproxTrainer
+import repro.core.mc_approx as mc
+from repro.approx.bernoulli import bernoulli_probabilities, bernoulli_sample
+from repro.backend import active_backend
+from repro.core.mc_approx import MCApproxTrainer, _row_blocks
 from repro.core.standard import StandardTrainer
+from repro.nn.losses import NLLLoss
 from repro.nn.network import MLP
+from repro.nn.optim import SGD, Adam, Momentum
+from repro.obs import InMemoryRecorder
 
 
 class TestValidation:
@@ -131,3 +137,191 @@ class TestTraining:
         exact = net.loss(x, y)
         losses = [trainer.train_batch(x, y) for _ in range(5)]
         assert any(abs(l - exact) > 1e-9 for l in losses)
+
+
+# ----------------------------------------------------------------------
+# fused weight-gradient update
+# ----------------------------------------------------------------------
+#: The paper's network, 784 -> 1000^3 -> 10, at batch 20.
+PAPER_SIZES = [784, 1000, 1000, 1000, 10]
+BATCH = 20
+
+
+def _whole_gradient_step(trainer, x, y):
+    """One MC step the way it ran before row blocks: every weight
+    gradient is built in full and handed to ``optimizer.update``.
+
+    Same draws, in the same order, from the trainer's own stream.
+    """
+    layers = trainer.net.layers
+    act = trainer.net.hidden_activation
+    backend = active_backend()
+
+    def sampled(a, b, budget):
+        budget = min(max(budget, 1), a.shape[1])
+        idx, scales = bernoulli_sample(
+            bernoulli_probabilities(a, b, budget), trainer.rng
+        )
+        if idx.size == 0:
+            return np.zeros((a.shape[0], b.shape[1]))
+        return backend.sampled_matmul(a, b, idx, scales)
+
+    activations, zs, a = [x], [], x
+    for i, layer in enumerate(layers):
+        zs.append(layer.forward(a))
+        if i < len(layers) - 1:
+            a = act.forward(zs[-1])
+            activations.append(a)
+    delta = NLLLoss.fused_logit_gradient(zs[-1], y)
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        g_w = sampled(activations[i].T, delta, min(trainer.k, x.shape[0]))
+        g_b = delta.sum(axis=0)
+        if i > 0:
+            da = sampled(delta, layer.W.T, trainer._node_budget(layer.n_out))
+            delta = da * act.derivative(zs[i - 1])
+        trainer.optimizer.update(("W", i), layer.W, g_w)
+        trainer.optimizer.update(("b", i), layer.b, g_b)
+
+
+def _twin_steps(sizes, make_optimizer, steps=1, seed=0):
+    """(fused trainer, whole-gradient twin) after ``steps`` batches."""
+    rng = np.random.default_rng(seed)
+    x = np.maximum(rng.normal(size=(steps * BATCH, sizes[0])), 0.0)
+    y = rng.integers(0, sizes[-1], steps * BATCH)
+    fused = MCApproxTrainer(
+        MLP(sizes, seed=0), optimizer=make_optimizer(), seed=1
+    )
+    whole = MCApproxTrainer(
+        MLP(sizes, seed=0), optimizer=make_optimizer(), seed=1
+    )
+    for s in range(0, steps * BATCH, BATCH):
+        fused.train_batch(x[s : s + BATCH], y[s : s + BATCH])
+        _whole_gradient_step(whole, x[s : s + BATCH], y[s : s + BATCH])
+    return fused, whole
+
+
+def _assert_same_weights(a, b):
+    for la, lb in zip(a.net.layers, b.net.layers):
+        assert np.array_equal(la.W, lb.W)
+        assert np.array_equal(la.b, lb.b)
+
+
+class TestRowBlocks:
+    def test_blocks_cover_rows_in_order(self):
+        for n_rows in (1, 2, 31, 32, 33, 64, 784, 801, 1000):
+            blocks = _row_blocks(n_rows, 8000)
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+            for lo, hi in zip(blocks, blocks[1:]):
+                assert lo.stop == hi.start
+
+    def test_no_one_row_block_in_a_multi_row_matrix(self):
+        rows_per_block = mc.FUSED_BLOCK_BYTES // 8000
+        blocks = _row_blocks(rows_per_block * 3 + 1, 8000)
+        assert len(blocks) == 3
+        assert blocks[-1].stop - blocks[-1].start == rows_per_block + 1
+        assert _row_blocks(1, 8000) == [slice(0, 1)]
+
+    def test_small_matrix_is_one_block(self):
+        assert _row_blocks(1000, 80) == [slice(0, 1000)]
+
+
+class TestFusedUpdate:
+    """Row-local optimisers take the weight gradient in row blocks; the
+    step must be bitwise the one that builds each gradient whole."""
+
+    @pytest.mark.parametrize(
+        "sizes, make_optimizer",
+        [
+            (PAPER_SIZES, lambda: SGD(1e-3)),
+            (PAPER_SIZES, lambda: SGD(1e-3, weight_decay=0.01)),
+            # 801 rows: 25 full blocks and a one-row remainder.
+            ([801, 1000, 1000, 1000, 10], lambda: SGD(1e-3)),
+        ],
+        ids=["sgd", "sgd-weight-decay", "one-row-remainder"],
+    )
+    def test_paper_width_step_matches_whole_gradient(self, sizes, make_optimizer):
+        assert make_optimizer().row_local
+        assert len(_row_blocks(sizes[0], 8 * sizes[1])) > 1
+        fused, whole = _twin_steps(sizes, make_optimizer)
+        _assert_same_weights(fused, whole)
+        assert np.array_equal(
+            fused.rng.bit_generator.state["state"]["state"],
+            whole.rng.bit_generator.state["state"]["state"],
+        )
+
+    @pytest.mark.parametrize(
+        "make_optimizer",
+        [
+            lambda: Momentum(1e-3),
+            lambda: Adam(1e-3),
+            lambda: SGD(1e-3, max_grad_norm=1.0),
+        ],
+        ids=["momentum", "adam", "clipped-sgd"],
+    )
+    def test_other_optimisers_take_the_whole_gradient(self, make_optimizer):
+        assert not make_optimizer().row_local
+        fused, whole = _twin_steps(PAPER_SIZES, make_optimizer, steps=2)
+        _assert_same_weights(fused, whole)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_empty_weight_gradient_draw(self, monkeypatch, weight_decay):
+        """An empty draw estimates a zero gradient: ``W`` only decays."""
+
+        def draw(probs, rng):
+            idx, scales = bernoulli_sample(probs, rng)
+            if probs.size == BATCH:  # the weight-gradient draw
+                return idx[:0], scales[:0]
+            return idx, scales
+
+        monkeypatch.setattr(mc, "bernoulli_sample", draw)
+        sizes = [300, 400, 10]
+        assert len(_row_blocks(sizes[0], 8 * sizes[1])) > 1
+        trainer = MCApproxTrainer(
+            MLP(sizes, seed=0),
+            optimizer=SGD(1e-3, weight_decay=weight_decay),
+            seed=1,
+        )
+        before = [layer.W.copy() for layer in trainer.net.layers]
+        rng = np.random.default_rng(2)
+        trainer.train_batch(
+            rng.normal(size=(BATCH, sizes[0])), rng.integers(0, 10, BATCH)
+        )
+        for w0, layer in zip(before, trainer.net.layers):
+            expected = w0.copy()
+            expected *= 1.0 - 1e-3 * weight_decay
+            assert np.array_equal(layer.W, expected)
+
+    def test_traced_step_counts_each_product_once(self):
+        """Counters of a traced paper-width step equal those of the
+        whole-gradient path: one dense update per parameter, one
+        sampled product's FLOPs and gathered bytes per product."""
+
+        class WholeSGD(SGD):
+            row_local = False
+
+        recorders, trainers = [], []
+        for opt in (SGD(1e-3), WholeSGD(1e-3)):
+            rec = InMemoryRecorder()
+            trainer = MCApproxTrainer(
+                MLP(PAPER_SIZES, seed=0), optimizer=opt, seed=1, recorder=rec
+            )
+            rng = np.random.default_rng(3)
+            trainer.train_batch(
+                np.maximum(rng.normal(size=(BATCH, 784)), 0.0),
+                rng.integers(0, 10, BATCH),
+            )
+            recorders.append(rec.snapshot())
+            trainers.append(trainer)
+        fused, whole = recorders
+        for name in (
+            "optim.dense_updates",
+            "kernel.flops.sampled_matmul",
+            "mem.gather_bytes",
+        ):
+            assert fused["counters"][name] == whole["counters"][name], name
+        assert fused["counters"]["optim.dense_updates"] == 2 * (len(PAPER_SIZES) - 1)
+        # The fused step really ran in blocks.
+        calls = lambda snap: snap["timings"]["kernel.sampled_matmul"]["count"]
+        assert calls(fused) > calls(whole)
+        _assert_same_weights(*trainers)
