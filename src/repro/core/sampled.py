@@ -201,7 +201,14 @@ class ColumnSampledTrainer(Trainer):
                 delta_c = np.multiply(
                     da[:, kept], act.derivative(zs[i]), order="F"
                 )
-                g_w = backend.grad_cols(acts[i], delta_c)
+                if x.shape[0] == 1 and np.isfortran(layers[i].W):
+                    # One row: an outer product, no sums, so its
+                    # transpose has the same bits and comes out
+                    # column-major, like the node-major W and the
+                    # moment slices lazy Adam gathers from it.
+                    g_w = backend.grad_cols(delta_c, acts[i]).T
+                else:
+                    g_w = backend.grad_cols(acts[i], delta_c)
                 g_b = delta_c.sum(axis=0)
                 if i > 0:
                     da = backend.backprop_cols(delta_c, layers[i].W, kept)

@@ -154,3 +154,23 @@ class TestLayoutDoesNotChangeTheStep:
                     arr, row_major.optimizer._state[key][slot],
                     err_msg=f"{key} {slot}",
                 )
+
+
+class TestOneRowGradientFollowsTheLayout:
+    @pytest.mark.parametrize("config", ["topk", "alsh"])
+    def test_lazy_adam_gets_column_major_gradients(self, config, data):
+        """Per-sample steps hand lazy Adam each hidden weight gradient in
+        the node-major order of ``W`` and its gathered moment slices, so
+        no elementwise op of the update mixes layouts."""
+        trainer = build(config, [12, 40, 40, 3])
+        seen = []
+        update = trainer.optimizer.update
+
+        def spy(key, param, grad, index=None):
+            if key[0] == "W" and index is not None:
+                seen.append(grad.flags.f_contiguous)
+            return update(key, param, grad, index=index)
+
+        trainer.optimizer.update = spy
+        trainer.train_batch(data[0][:3], data[1][:3])
+        assert seen and all(seen)
