@@ -130,8 +130,9 @@ class TestMetricsServer:
             ready["ok"] = False
             with pytest.raises(urllib.error.HTTPError) as exc:
                 _get(server.url + "/readyz")
-            assert exc.value.code == 503
-            assert exc.value.read().decode("utf-8") == "draining\n"
+            with exc.value:
+                assert exc.value.code == 503
+                assert exc.value.read().decode("utf-8") == "draining\n"
 
     def test_healthz_reflects_health_fn_and_gates_readyz(self):
         health = {"ok": True}
@@ -153,7 +154,8 @@ class TestMetricsServer:
         with MetricsServer(dict, port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as exc:
                 _get(server.url + "/nope")
-            assert exc.value.code == 404
+            with exc.value:
+                assert exc.value.code == 404
 
     def test_snapshot_fn_called_per_scrape(self):
         rec = InMemoryRecorder()
